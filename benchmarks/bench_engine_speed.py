@@ -252,8 +252,8 @@ def test_engine_speed_smoke():
     )
     report = {
         "engine_mix": engines,
-        "stack_one_way_1L_1G_1MB": point,
-        "stack_one_way_1L_1G_1MB_fastpath": point_ff,
+        "stack_one-way_1L_1G_1MB": point,
+        "stack_one-way_1L_1G_1MB_fastpath": point_ff,
         "fastpath_speedup_one_way_1MB": round(
             point["wall_s"] / point_ff["wall_s"], 3
         ) if point_ff["wall_s"] > 0 else None,

@@ -5,7 +5,7 @@ from .api import ConnectionHandle, MultiEdgeStack, OpHandle, establish
 from .connection import Connection, Notification, Operation, ProtocolParams
 from .errors import MultiEdgeError, PeerCrashed, RetransmitExhausted
 from .handshake import HandshakeError, close_connection, dial, enable_listener
-from .messages import SEQUENCED_TYPES
+from .messages import SEQUENCED_TYPES, ScatterList
 from .ordering import FenceDelivery, InOrderDelivery, OrderingManager, RxOpState
 from .protocol import MultiEdgeProtocol
 from .retransmit import BackoffPolicy, RetransmitParams, RetransmitTimer
@@ -57,4 +57,5 @@ __all__ = [
     "ConnectionStats",
     "merge_stats",
     "SEQUENCED_TYPES",
+    "ScatterList",
 ]

@@ -19,6 +19,7 @@ from typing import Any, Generator, Optional
 from ..host import Node
 from ..sim import SimulationError
 from .connection import Connection, Notification, Operation, ProtocolParams
+from .messages import ScatterList
 from .protocol import MultiEdgeProtocol
 
 __all__ = ["OpHandle", "ConnectionHandle", "MultiEdgeStack", "establish"]
@@ -118,7 +119,7 @@ class ConnectionHandle:
 
     def rdma_write_scatter(
         self,
-        segments: list,
+        segments: "ScatterList | list[tuple[int, bytes]]",
         flags: int = 0,
         cpu=None,
     ) -> Generator[Any, Any, OpHandle]:
@@ -128,8 +129,8 @@ class ConnectionHandle:
         :meth:`Connection.submit_scatter`.
         """
         cpu = cpu or self.node.app_cpu
-        total = sum(len(d) for _, d in segments)
-        yield from self._issue(total, cpu)
+        segments = ScatterList.of(segments)
+        yield from self._issue(len(segments.data), cpu)
         op = self.conn.submit_scatter(segments, flags)
         yield from self.conn.pump(cpu)
         return OpHandle(op, self)

@@ -44,14 +44,14 @@ from ..host.cpu import Cpu
 from ..sim import Event, Simulator, Store, Timer
 from .ack import AckPolicy, AckPolicyParams
 from .messages import (
-    SCATTER_RECORD_HEADER,
-    decode_scatter_records,
-    encode_scatter_records,
+    ScatterList,
     make_ack_frame,
     make_data_frame,
     make_nack_frame,
     make_probe_ack_frame,
     make_read_req_frame,
+    pack_scatter_frames,
+    parse_scatter_records,
 )
 from .errors import PeerCrashed, RetransmitExhausted
 from .ordering import FenceDelivery, InOrderDelivery, RxOpState
@@ -328,7 +328,7 @@ class Connection:
 
     def submit_scatter(
         self,
-        segments: list[tuple[int, bytes]],
+        segments: "ScatterList | list[tuple[int, bytes]]",
         flags: int = 0,
     ) -> Operation:
         """Queue a scatter write: many small (address, data) segments in
@@ -336,13 +336,14 @@ class Connection:
 
         This is the wire format of a software-DSM *diff*: rather than one
         operation per changed byte-run, every run of a flush rides in one
-        operation whose frames pack ``u64 addr + u32 len + data`` records.
-        Records never split across frames.
+        operation whose frames pack ``u64 addr + u32 len + data`` records
+        (see :func:`~repro.core.messages.pack_scatter_frames`).
         """
-        if not segments:
+        segments = ScatterList.of(segments)
+        if not len(segments.addresses):
             raise ValueError("scatter operation needs at least one segment")
         self._check_open()
-        mtu = max_payload_per_frame()
+        remote_address = int(segments.addresses[0])
         op = Operation(
             self.sim,
             op_id=self.protocol.allocate_op_id(),
@@ -350,40 +351,21 @@ class Connection:
             kind=Operation.WRITE,
             flags=flags | OpFlags.SCATTER,
             local_address=0,
-            remote_address=segments[0][0],
+            remote_address=remote_address,
             length=0,
         )
         self._next_op_seq += 1
-        frame_segs: list[tuple[int, bytes]] = []
-        frame_bytes = 0
-
-        def emit() -> None:
-            nonlocal frame_segs, frame_bytes
-            payload = encode_scatter_records(frame_segs)
+        for payload in pack_scatter_frames(segments, max_payload_per_frame()):
             self.unsent.append(
                 _FrameDesc(
                     op=op,
                     payload=payload,
-                    remote_address=segments[0][0],
+                    remote_address=remote_address,
                     payload_len=len(payload),
                 )
             )
             op.frames_total += 1
             op.length += len(payload)
-            frame_segs, frame_bytes = [], 0
-
-        for addr, data in segments:
-            offset = 0
-            while offset < len(data):
-                chunk = data[offset : offset + (mtu - SCATTER_RECORD_HEADER)]
-                need = SCATTER_RECORD_HEADER + len(chunk)
-                if frame_bytes + need > mtu and frame_segs:
-                    emit()
-                frame_segs.append((addr + offset, chunk))
-                frame_bytes += need
-                offset += len(chunk)
-        if frame_segs:
-            emit()
         if op.forward_fenced:
             self._forward_fences.append(op)
         self.stats.ops_submitted += 1
@@ -799,8 +781,7 @@ class Connection:
             payload = frame.payload
             if payload is not None:
                 if h.flags & OpFlags.SCATTER:
-                    for addr, data in decode_scatter_records(payload):
-                        self.node.memory.write(addr, data)
+                    self.node.memory.write_scatter(parse_scatter_records(payload), payload)
                 else:
                     self.node.memory.write(h.remote_address, payload)
         if h.frame_type == FrameType.READ_RESP:

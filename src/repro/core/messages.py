@@ -18,13 +18,19 @@ Conventions:
 
 from __future__ import annotations
 
+import bisect
 import struct
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from ..ethernet import ECN_ECHO, Frame, FrameType, MultiEdgeHeader
 
 __all__ = [
     "SCATTER_RECORD_HEADER",
+    "ScatterList",
+    "pack_scatter_frames",
+    "parse_scatter_records",
     "encode_scatter_records",
     "decode_scatter_records",
     "make_data_frame",
@@ -49,27 +55,103 @@ NACK_ENTRY_BYTES = 4
 # Scatter-write record framing: u64 address + u32 length, then data.
 SCATTER_RECORD_HEADER = 12
 _SCATTER_HDR = struct.Struct("!QI")
+_SCATTER_HDR_DTYPE = np.dtype([("addr", ">u8"), ("len", ">u4")])
+
+
+class ScatterList(NamedTuple):
+    """Scatter-write segments as arrays.
+
+    Segment ``i`` stores ``lengths[i]`` bytes at ``addresses[i]``; ``data``
+    holds every segment's bytes back to back, in segment order.
+    """
+
+    addresses: np.ndarray  # int64
+    lengths: np.ndarray  # int64
+    data: np.ndarray  # uint8
+
+    @classmethod
+    def of(cls, segments) -> "ScatterList":
+        """A ScatterList as is, or one built from (address, bytes) pairs."""
+        if isinstance(segments, cls):
+            return segments
+        n = len(segments)
+        return cls(
+            np.fromiter((a for a, _ in segments), np.int64, n),
+            np.fromiter((len(d) for _, d in segments), np.int64, n),
+            np.frombuffer(b"".join(d for _, d in segments), np.uint8),
+        )
+
+
+def _record_stream(records: ScatterList) -> np.ndarray:
+    """Wire bytes of ``records``: each header followed by its data."""
+    n = len(records.lengths)
+    header = np.empty(n, _SCATTER_HDR_DTYPE)
+    header["addr"] = records.addresses
+    header["len"] = records.lengths
+    sizes = records.lengths + SCATTER_RECORD_HEADER
+    header_at = np.cumsum(sizes) - sizes
+    is_header = np.zeros(int(sizes.sum()), bool)
+    is_header[np.add.outer(header_at, np.arange(SCATTER_RECORD_HEADER))] = True
+    out = np.empty(len(is_header), np.uint8)
+    out[is_header] = header.view(np.uint8)
+    out[~is_header] = records.data
+    return out
+
+
+def pack_scatter_frames(segments: ScatterList, mtu: int) -> list[bytes]:
+    """Pack segments into scatter-frame payloads of at most ``mtu`` bytes.
+
+    Greedy fill: each frame takes whole records until the next one would
+    not fit, so records never split across frames.  A segment longer than
+    ``mtu - SCATTER_RECORD_HEADER`` is first cut into consecutive records
+    of that size (the last one shorter); empty segments carry no record.
+    """
+    room = mtu - SCATTER_RECORD_HEADER
+    lengths = segments.lengths
+    pieces = -(-lengths // room)
+    seg = np.repeat(np.arange(len(lengths)), pieces)
+    skip = (np.arange(len(seg)) - np.repeat(np.cumsum(pieces) - pieces, pieces)) * room
+    records = ScatterList(
+        segments.addresses[seg] + skip,
+        np.minimum(room, lengths[seg] - skip),
+        segments.data,
+    )
+    stream = _record_stream(records)
+    ends = np.cumsum(records.lengths + SCATTER_RECORD_HEADER).tolist()
+    payloads = []
+    start = i = 0
+    while i < len(ends):
+        i = bisect.bisect_right(ends, start + mtu, i)
+        payloads.append(stream[start : ends[i - 1]].tobytes())
+        start = ends[i - 1]
+    return payloads
+
+
+def parse_scatter_records(payload: bytes) -> list[tuple[int, int, int]]:
+    """``(address, data offset, length)`` of each record in one frame's
+    payload, in wire order."""
+    records = []
+    unpack = _SCATTER_HDR.unpack_from
+    off, end = 0, len(payload)
+    while off < end:
+        addr, length = unpack(payload, off)
+        off += SCATTER_RECORD_HEADER
+        records.append((addr, off, length))
+        off += length
+    return records
 
 
 def encode_scatter_records(segments: "Sequence[tuple[int, bytes]]") -> bytes:
     """Pack (remote_address, data) segments into wire bytes."""
-    out = bytearray()
-    for addr, data in segments:
-        out += _SCATTER_HDR.pack(addr, len(data))
-        out += data
-    return bytes(out)
+    return _record_stream(ScatterList.of(segments)).tobytes()
 
 
 def decode_scatter_records(payload: bytes) -> list[tuple[int, bytes]]:
-    """Unpack scatter records from one frame's payload."""
-    records = []
-    off = 0
-    while off < len(payload):
-        addr, length = _SCATTER_HDR.unpack_from(payload, off)
-        off += SCATTER_RECORD_HEADER
-        records.append((addr, payload[off : off + length]))
-        off += length
-    return records
+    """Unpack scatter records from one frame's payload as (address, data)."""
+    return [
+        (addr, payload[off : off + length])
+        for addr, off, length in parse_scatter_records(payload)
+    ]
 
 
 def make_data_frame(

@@ -111,12 +111,17 @@ class SendWindow:
         Returns the freed records (the connection completes ops from them).
         Stale acks free nothing.
         """
-        if not self.inflight:
+        inflight = self.inflight
+        if not inflight:
             return []
-        freed = [rec for seq, rec in self.inflight.items() if seq < cum_ack]
-        for rec in freed:
-            del self.inflight[rec.frame.header.seq]
-        return freed
+        # Keys ascend (only register() inserts, with monotonic seqs), so
+        # the freed frames are a prefix: stop at the first seq >= cum_ack.
+        freed = []
+        for seq in inflight:
+            if seq >= cum_ack:
+                break
+            freed.append(seq)
+        return [inflight.pop(seq) for seq in freed]
 
     def get_for_retransmit(self, seq: int) -> Optional[InflightFrame]:
         """Look up an in-flight frame for retransmission (None if acked).
@@ -137,12 +142,12 @@ class SendWindow:
         """
         if not self.inflight:
             return None
-        return self.inflight[max(self.inflight)]
+        return self.inflight[next(reversed(self.inflight))]
 
     def oldest_unacked(self) -> Optional[InflightFrame]:
         if not self.inflight:
             return None
-        return self.inflight[min(self.inflight)]
+        return self.inflight[next(iter(self.inflight))]
 
     def inflight_on_rail(self, rail: int) -> list[int]:
         """Sequence numbers whose latest transmission used ``rail``.

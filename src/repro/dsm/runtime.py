@@ -33,7 +33,7 @@ from typing import Any, Callable, Generator, Optional
 import numpy as np
 
 from ..bench.cluster import Cluster
-from ..core import ConnectionHandle, merge_stats
+from ..core import ConnectionHandle, ScatterList, merge_stats
 from ..core.stats import ConnectionStats
 from ..ethernet import OpFlags
 from ..sim import Event, Store
@@ -667,8 +667,8 @@ class DsmNode:
         cpu = self.stack.node.app_cpu
         params = self.stack.node.params
         notices: list[tuple[int, int]] = []
-        # home node -> list of (home_address, data) diff segments.
-        segments: dict[int, list[tuple[int, bytes]]] = {}
+        # home node -> per-page diff (home addresses, lengths, bytes) arrays.
+        diffs: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
         for region_id, pt in self.page_tables.items():
             if not pt.dirty:
                 continue
@@ -687,28 +687,31 @@ class DsmNode:
                 self.stats.dsm_overhead_ns += self.sim.now - t1
                 runs = _diff_runs(twin, current)
                 pt.state[page] = PageState.VALID
-                if not runs:
+                if not len(runs):
                     continue
                 notices.append((region_id, page))
                 home = region.home_of(page)
-                home_base = region.page_addr(home, page)
-                segs = segments.setdefault(home, [])
-                for start, length in runs:
-                    segs.append(
-                        (
-                            home_base + start,
-                            current[start : start + length].tobytes(),
-                        )
+                starts, lengths = runs.T
+                diffs.setdefault(home, []).append(
+                    (
+                        region.page_addr(home, page) + starts,
+                        lengths,
+                        current[twin != current],
                     )
-                    self.stats.diff_bytes += length
-                    self.stats.diff_runs += 1
+                )
+                self.stats.diff_bytes += int(lengths.sum())
+                self.stats.diff_runs += len(runs)
                 self.stats.diffs_flushed += 1
             pt.dirty.clear()
         # One scatter operation per home carries the whole diff set, the
         # way real SVM systems ship one diff message per flush target.
         handles = []
-        for home, segs in segments.items():
-            h = yield from self.conns[home].rdma_write_scatter(segs)
+        for home, pages in diffs.items():
+            addresses, lengths, data = zip(*pages)
+            segments = ScatterList(
+                np.concatenate(addresses), np.concatenate(lengths), np.concatenate(data)
+            )
+            h = yield from self.conns[home].rdma_write_scatter(segments)
             handles.append(h)
         for h in handles:
             yield from h.wait()
@@ -782,8 +785,9 @@ class DsmNode:
         self.runtime._vote_start()
 
 
-def _diff_runs(twin: np.ndarray, current: np.ndarray) -> list[tuple[int, int]]:
-    """Exact changed-byte runs between twin and current page.
+def _diff_runs(twin: np.ndarray, current: np.ndarray) -> np.ndarray:
+    """Exact changed-byte runs between twin and current page, as an
+    ``(n, 2)`` array of ``(start, length)`` rows in address order.
 
     Runs must be *byte-exact*: merging across unchanged gaps would write
     stale twin bytes back to the home, silently clobbering a concurrent
@@ -793,13 +797,7 @@ def _diff_runs(twin: np.ndarray, current: np.ndarray) -> list[tuple[int, int]]:
     genuinely costs many small writes — that is the real behaviour of
     page-based software DSM under false sharing.
     """
-    changed = twin != current
-    if not changed.any():
-        return []
-    idx = np.flatnonzero(changed)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [len(idx) - 1]))
-    return [
-        (int(idx[s]), int(idx[e] - idx[s] + 1)) for s, e in zip(starts, ends)
-    ]
+    # Run edges are where the changed mask flips.
+    edges = np.flatnonzero(np.diff(twin != current, prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    return np.stack((starts, ends - starts), axis=1)

@@ -15,6 +15,7 @@ error and raise).
 from __future__ import annotations
 
 import bisect
+from typing import Iterable
 
 import numpy as np
 
@@ -48,15 +49,20 @@ class VirtualMemory:
         self._next = addr + size + self._GUARD
         return addr
 
-    def _find(self, addr: int, size: int) -> tuple[np.ndarray, int]:
+    def _region(self, addr: int, size: int) -> tuple[int, int, np.ndarray]:
+        """The (start, end, buffer) allocation holding [addr, addr + size)."""
         i = bisect.bisect_right(self._starts, addr) - 1
         if i >= 0:
-            start, end, buf = self._regions[i]
-            if addr >= start and addr + size <= end:
-                return buf, addr - start
+            region = self._regions[i]
+            if addr + size <= region[1]:
+                return region
         raise MemoryFault(
             f"access [{addr:#x}, {addr + size:#x}) outside any allocation"
         )
+
+    def _find(self, addr: int, size: int) -> tuple[np.ndarray, int]:
+        start, _, buf = self._region(addr, size)
+        return buf, addr - start
 
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Store ``data`` at virtual address ``addr``."""
@@ -65,6 +71,23 @@ class VirtualMemory:
         ) else data
         buf, off = self._find(addr, len(view))
         buf[off : off + len(view)] = view
+
+    def write_scatter(
+        self, records: Iterable[tuple[int, int, int]], source: bytes
+    ) -> None:
+        """Store scattered records: ``(address, offset, length)`` puts
+        ``source[offset : offset + length]`` at ``address``, in order.
+
+        Consecutive records in one allocation share one region lookup.
+        A record that leaves its allocation raises :class:`MemoryFault`.
+        """
+        src = memoryview(source)
+        start = end = -1  # no region looked up yet
+        for addr, off, length in records:
+            if addr < start or addr + length > end:
+                start, end, buf = self._region(addr, length)
+                dst = memoryview(buf)
+            dst[addr - start : addr - start + length] = src[off : off + length]
 
     def read(self, addr: int, size: int) -> bytes:
         """Load ``size`` bytes from virtual address ``addr``."""

@@ -9,6 +9,7 @@ from repro.core.messages import (
     encode_scatter_records,
 )
 from repro.ethernet import max_payload_per_frame
+from repro.sim import SimulationError
 
 
 def pair(config="1L-1G"):
@@ -20,6 +21,28 @@ def pair(config="1L-1G"):
 def run(cluster, gen, limit_ms=5000):
     proc = cluster.sim.process(gen)
     return cluster.sim.run_until_done(proc, limit=limit_ms * 1_000_000)
+
+
+def greedy_reference(segments, mtu):
+    """Reference packer: cut runs longer than ``mtu - header`` into
+    consecutive records, then fill each frame with whole records."""
+    room = mtu - SCATTER_RECORD_HEADER
+    records = [
+        (addr + off, data[off : off + room])
+        for addr, data in segments
+        for off in range(0, len(data), room)
+    ]
+    frames, current, used = [], [], 0
+    for addr, data in records:
+        need = SCATTER_RECORD_HEADER + len(data)
+        if current and used + need > mtu:
+            frames.append(current)
+            current, used = [], 0
+        current.append((addr, data))
+        used += need
+    if current:
+        frames.append(current)
+    return [encode_scatter_records(frame) for frame in frames]
 
 
 class TestCodec:
@@ -135,3 +158,58 @@ class TestScatterWrites:
         proc = cluster.sim.process(receiver())
         note = cluster.sim.run_until_done(proc, limit=10_000_000_000)
         assert note.src_node == 0
+
+
+class TestScatterWireLayout:
+    def segments(self, dst):
+        mtu = max_payload_per_frame()
+        small = [(dst + 64 * i, bytes([i]) * (1 + i % 29)) for i in range(150)]
+        # One run longer than a frame's record room, and not a multiple of it.
+        big = (dst + 20_000, bytes(i % 251 for i in range(2 * mtu + 100)))
+        assert len(big[1]) > mtu - SCATTER_RECORD_HEADER
+        return small[:70] + [big] + small[70:]
+
+    def test_frames_match_greedy_reference(self):
+        cluster, a, b = pair()
+        segments = self.segments(b.node.memory.alloc(65536))
+        op = a.conn.submit_scatter(segments)
+        sent = [desc.payload for desc in a.conn.unsent]
+        expected = greedy_reference(segments, max_payload_per_frame())
+        assert [len(p) for p in sent] == [len(p) for p in expected]
+        assert sent == expected
+        assert op.frames_total == len(expected)
+        assert op.length == sum(len(p) for p in expected)
+
+    def test_every_record_lands(self):
+        cluster, a, b = pair()
+        dst = b.node.memory.alloc(65536)
+        segments = self.segments(dst)
+
+        def app():
+            h = yield from a.rdma_write_scatter(segments)
+            yield from h.wait()
+
+        run(cluster, app())
+        for addr, data in segments:
+            assert b.node.memory.read(addr, len(data)) == data
+
+
+class TestScatterBounds:
+    @pytest.mark.parametrize("overrun", ["past-end", "guard-gap"])
+    def test_record_leaving_its_allocation_faults(self, overrun):
+        cluster, a, b = pair()
+        dst = b.node.memory.alloc(256)
+        other = b.node.memory.alloc(256)
+        # Valid records around the bad one, in both allocations and all in
+        # one frame: the batch's shared region lookup must still catch it.
+        bad = (dst + 250, b"12345678") if overrun == "past-end" else (
+            dst + 256 + 100, b"x"
+        )
+        segments = [(dst, b"first"), bad, (other + 100, b"last")]
+
+        def app():
+            h = yield from a.rdma_write_scatter(segments)
+            yield from h.wait()
+
+        with pytest.raises(SimulationError, match="outside any allocation"):
+            run(cluster, app())

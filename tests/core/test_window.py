@@ -1,6 +1,8 @@
 """Unit tests for the sliding window and receive tracker."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import ReceiveTracker, SendWindow
 from repro.ethernet import Frame, MultiEdgeHeader
@@ -153,3 +155,25 @@ class TestReceiveTracker:
         flags = [t.on_frame(s)[1] for s in order]
         assert flags == [False, True, False, True, False, True]
         assert t.cum_ack == 6
+
+
+@given(st.data())
+def test_on_ack_frees_exactly_the_prefix(data):
+    """Random register/ack interleavings against a sorted-list model."""
+    w = SendWindow(16)
+    model: list[int] = []
+    for _ in range(data.draw(st.integers(1, 40))):
+        for _ in range(data.draw(st.integers(0, w.available))):
+            seq = w.allocate_seq()
+            w.register(seq_frame(seq), op_id=1, now=0)
+            model.append(seq)
+        cum_ack = data.draw(st.integers(0, w.next_seq + 2))
+        freed = [rec.frame.header.seq for rec in w.on_ack(cum_ack)]
+        assert freed == [s for s in model if s < cum_ack]
+        model = [s for s in model if s >= cum_ack]
+        assert list(w.inflight) == model  # keys stay ascending
+        if model:
+            assert w.oldest_unacked().frame.header.seq == model[0]
+            assert w.last_unacked().frame.header.seq == model[-1]
+        else:
+            assert w.oldest_unacked() is None and w.last_unacked() is None

@@ -101,23 +101,23 @@ class TestDiffRuns:
 
     def test_no_change(self):
         a = self.page()
-        assert _diff_runs(a, a.copy()) == []
+        assert _diff_runs(a, a.copy()).tolist() == []
 
     def test_single_byte(self):
         twin, cur = self.page(), self.page()
         cur[100] = 1
-        assert _diff_runs(twin, cur) == [(100, 1)]
+        assert _diff_runs(twin, cur).tolist() == [[100, 1]]
 
     def test_contiguous_run(self):
         twin, cur = self.page(), self.page()
         cur[10:20] = 7
-        assert _diff_runs(twin, cur) == [(10, 10)]
+        assert _diff_runs(twin, cur).tolist() == [[10, 10]]
 
     def test_two_distant_runs(self):
         twin, cur = self.page(), self.page()
         cur[0:4] = 1
         cur[1000:1008] = 2
-        assert _diff_runs(twin, cur) == [(0, 4), (1000, 8)]
+        assert _diff_runs(twin, cur).tolist() == [[0, 4], [1000, 8]]
 
     def test_nearby_runs_stay_exact(self):
         """Gap bytes must never be covered: writing them back would clobber
@@ -125,12 +125,12 @@ class TestDiffRuns:
         twin, cur = self.page(), self.page()
         cur[100] = 1
         cur[110] = 1
-        assert _diff_runs(twin, cur) == [(100, 1), (110, 1)]
+        assert _diff_runs(twin, cur).tolist() == [[100, 1], [110, 1]]
 
     def test_fully_changed_page_is_one_run(self):
         twin, cur = self.page(), self.page()
         cur[:] = 9
-        assert _diff_runs(twin, cur) == [(0, PAGE_SIZE)]
+        assert _diff_runs(twin, cur).tolist() == [[0, PAGE_SIZE]]
 
     def test_runs_never_include_unchanged_bytes(self):
         rng = np.random.default_rng(3)

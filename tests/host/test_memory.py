@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.host import MemoryFault, VirtualMemory
 
@@ -98,3 +100,74 @@ def test_many_allocations_lookup():
         vm.write(addr, bytes([i % 256] * 4))
     for i, addr in enumerate(addrs):
         assert vm.read(addr, 4) == bytes([i % 256] * 4)
+
+
+def _scatter(vm, pairs):
+    """write_scatter from (address, bytes) pairs laid end to end."""
+    records, offset = [], 0
+    for addr, data in pairs:
+        records.append((addr, offset, len(data)))
+        offset += len(data)
+    vm.write_scatter(records, b"".join(data for _, data in pairs))
+
+
+def test_write_scatter_lands_every_record():
+    vm = VirtualMemory()
+    a = vm.alloc(100)
+    b = vm.alloc(100)
+    _scatter(vm, [(a + 1, b"xy"), (a + 90, b"0123456789"), (b, b"z"), (b + 50, b"")])
+    assert vm.read(a, 4) == b"\x00xy\x00"
+    assert vm.read(a + 90, 10) == b"0123456789"
+    assert vm.read(b, 2) == b"z\x00"
+
+
+def test_write_scatter_later_record_wins():
+    vm = VirtualMemory()
+    a = vm.alloc(100)
+    b = vm.alloc(100)
+    # Out of address order and overlapping, across two allocations.
+    _scatter(vm, [(b + 4, b"BBBB"), (a, b"aaaaaa"), (a + 2, b"cc"), (b, b"DDDDDD")])
+    assert vm.read(a, 6) == b"aaccaa"
+    assert vm.read(b, 8) == b"DDDDDDBB"
+
+
+@pytest.mark.parametrize("offset, size", [(-1, 1), (98, 4), (100, 1), (100 + 10, 2)])
+def test_write_scatter_faults(offset, size):
+    vm = VirtualMemory()
+    a = vm.alloc(100)
+    vm.alloc(100)
+    # A valid record first: the region it looked up must not wave the bad
+    # one through.
+    with pytest.raises(MemoryFault):
+        _scatter(vm, [(a, b"ok"), (a + offset, b"!" * size)])
+
+
+def test_write_scatter_below_every_allocation_faults():
+    vm = VirtualMemory()
+    with pytest.raises(MemoryFault):
+        _scatter(vm, [(0x10, b"x")])
+    with pytest.raises(MemoryFault):
+        _scatter(vm, [(0, b"")])
+    a = vm.alloc(10)
+    with pytest.raises(MemoryFault):
+        _scatter(vm, [(a - 1, b"x")])
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, 199), st.binary(max_size=40)),
+        max_size=30,
+    )
+)
+def test_write_scatter_equals_writes_one_by_one(records):
+    """Any in-bounds batch (out of order, overlapping, two allocations)
+    leaves memory exactly as the record-by-record loop does."""
+    batched, looped = VirtualMemory(), VirtualMemory()
+    bases = [batched.alloc(240), batched.alloc(240)]
+    assert bases == [looped.alloc(240), looped.alloc(240)]
+    pairs = [(bases[r] + off, data) for r, off, data in records]
+    _scatter(batched, pairs)
+    for addr, data in pairs:
+        looped.write(addr, data)
+    for base in bases:
+        assert batched.read(base, 240) == looped.read(base, 240)
