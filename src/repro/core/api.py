@@ -117,6 +117,22 @@ class ConnectionHandle:
         yield from self.conn.pump(cpu)
         return OpHandle(op, self)
 
+    def write_bytes(
+        self, data: bytes, remote_address: int, flags: int = 0, cpu=None
+    ) -> Generator[Any, Any, OpHandle]:
+        """:meth:`rdma_write` of ``data`` from a scratch buffer.
+
+        The buffer is freed once the write has copied the bytes out, so
+        per-message staging does not accumulate in node memory.  Not for
+        journaled sends: a replay re-reads its ``local_address``.
+        """
+        memory = self.node.memory
+        scratch = memory.alloc(len(data))
+        memory.write(scratch, data)
+        handle = yield from self.rdma_write(scratch, remote_address, len(data), flags, cpu)
+        memory.free(scratch)
+        return handle
+
     def rdma_write_scatter(
         self,
         segments: "ScatterList | list[tuple[int, bytes]]",

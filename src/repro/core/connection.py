@@ -303,28 +303,32 @@ class Connection:
             length=length,
         )
         self._next_op_seq += 1
-        synthetic = self.params.synthetic_payloads
-        data = None if synthetic else self.node.memory.read(local_address, length)
-        mtu = max_payload_per_frame()
-        offset = 0
-        while offset < length:
-            n = min(mtu, length - offset)
-            self.unsent.append(
-                _FrameDesc(
-                    op=op,
-                    payload=None if synthetic else data[offset : offset + n],
-                    remote_address=remote_address + offset,
-                    payload_len=n,
-                )
-            )
-            op.frames_total += 1
-            offset += n
+        self.unsent.extend(self._fragment(op))
         if op.forward_fenced:
             self._forward_fences.append(op)
         self.stats.ops_submitted += 1
         if self.monitor is not None:
             self.monitor.on_op_submitted(self, op)
         return op
+
+    def _fragment(self, op: Operation) -> list[_FrameDesc]:
+        """Copy ``op``'s bytes out of local memory into MTU-sized frame
+        descriptors (no bytes in synthetic-payload mode)."""
+        length, mtu = op.length, max_payload_per_frame()
+        data = None
+        if not self.params.synthetic_payloads:
+            data = self.node.memory.read(op.local_address, length)
+        descs = [
+            _FrameDesc(
+                op=op,
+                payload=None if data is None else data[offset : offset + mtu],
+                remote_address=op.remote_address + offset,
+                payload_len=min(mtu, length - offset),
+            )
+            for offset in range(0, length, mtu)
+        ]
+        op.frames_total += len(descs)
+        return descs
 
     def submit_scatter(
         self,
@@ -414,7 +418,7 @@ class Connection:
             self.monitor.on_op_submitted(self, op)
         return op
 
-    def _submit_read_response(self, rx_op: RxOpState, req_frame: Frame) -> None:
+    def _submit_read_response(self, req_frame: Frame) -> None:
         """Responder side: turn an applied READ_REQ into a data send."""
         length = req_frame.header.op_length
         source = req_frame.header.remote_address
@@ -430,23 +434,7 @@ class Connection:
             length=length,
         )
         self._next_op_seq += 1
-        synthetic = self.params.synthetic_payloads
-        data = None if synthetic else self.node.memory.read(source, length)
-        mtu = max_payload_per_frame()
-        descs = []
-        offset = 0
-        while offset < length:
-            n = min(mtu, length - offset)
-            descs.append(
-                _FrameDesc(
-                    op=op,
-                    payload=None if synthetic else data[offset : offset + n],
-                    remote_address=op.remote_address + offset,
-                    payload_len=n,
-                )
-            )
-            op.frames_total += 1
-            offset += n
+        descs = self._fragment(op)
         # Responses bypass forward fences (see _fence_blocked), so they
         # must not queue behind descriptors a fence is withholding: slot
         # them ahead of the first fence-blocked descriptor.
@@ -750,10 +738,9 @@ class Connection:
         h = frame.header
         if h.frame_type == FrameType.READ_REQ:
             # Perform the read: snapshot memory into a response operation.
-            rx_op = self.ordering.ops[h.op_seq]
             cost = self.node.params.memcpy_ns(h.op_length)
             yield from cpu.run(cost, "protocol.recv")
-            self._submit_read_response(rx_op, frame)
+            self._submit_read_response(frame)
             return
         if h.payload_length > 0:
             # Copy-to-user cost is a function of length alone; it is charged

@@ -16,7 +16,9 @@ Ordering constraints come from two sources:
 
 Completion tracking lives here too: an operation is *performed* when all of
 its payload bytes have been applied, at which point notifications (if
-requested) fire.
+requested) fire.  Once the watermark passes a performed operation no frame
+can refer to it again (the sequence tracker drops duplicates first), so its
+record is retired and only its byte count is kept.
 
 The manager assumes the caller applies every frame it returns, immediately
 and in order — true for the kernel-thread receive path that drives it.
@@ -56,8 +58,9 @@ class OrderingManager:
     """Base class: operation bookkeeping shared by both delivery modes."""
 
     def __init__(self) -> None:
-        self.ops: dict[int, RxOpState] = {}  # op_seq -> state
-        self.watermark = 0  # every op_seq < watermark is complete
+        self.ops: dict[int, RxOpState] = {}  # op_seq -> state, not retired
+        self.watermark = 0  # every op_seq < watermark is complete and retired
+        self.retired_bytes = 0  # bytes_applied summed over retired ops
 
     def _op_for(self, frame: Frame) -> RxOpState:
         h = frame.header
@@ -93,6 +96,8 @@ class OrderingManager:
             op = self.ops.get(self.watermark)
             if op is None or not op.complete:
                 return
+            del self.ops[self.watermark]
+            self.retired_bytes += op.bytes_applied
             self.watermark += 1
 
     # Subclass interface -------------------------------------------------

@@ -381,7 +381,6 @@ class DsmNode:
             self._out.put((peer, m, chunk))
 
     def _sender(self) -> Generator:
-        memory = self.stack.node.memory
         while True:
             peer, msg, notices = yield self._out.get()
             mb = self._mail[peer]
@@ -391,21 +390,14 @@ class DsmNode:
                 yield mb.credit_event
             slot = mb.send_seq % INBOX_SLOTS
             if notices:
-                blob = encode_notices(notices)
-                scratch = memory.alloc(len(blob))
-                memory.write(scratch, blob)
-                yield from conn.rdma_write(
-                    scratch,
+                yield from conn.write_bytes(
+                    encode_notices(notices),
                     mb.peer_staging_base + slot * NOTICE_SEG_BYTES,
-                    len(blob),
                     cpu=self.service_cpu,
                 )
-            scratch_msg = memory.alloc(MSG_SLOT_BYTES)
-            memory.write(scratch_msg, msg.encode())
-            yield from conn.rdma_write(
-                scratch_msg,
+            yield from conn.write_bytes(
+                msg.encode(),
                 mb.peer_inbox_base + slot * MSG_SLOT_BYTES,
-                MSG_SLOT_BYTES,
                 flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
                 cpu=self.service_cpu,
             )
@@ -450,12 +442,9 @@ class DsmNode:
             self._dispatch(peer, msg, notices)
 
     def _send_credit(self, peer: int, mb: _PeerMailbox) -> Generator:
-        memory = self.stack.node.memory
-        scratch = memory.alloc(8)
-        memory.write(scratch, mb.recv_seq.to_bytes(8, "big"))
-        yield from self.conns[peer].rdma_write(
-            scratch, mb.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
-            cpu=self.service_cpu,
+        yield from self.conns[peer].write_bytes(
+            mb.recv_seq.to_bytes(8, "big"), mb.peer_credit_cell,
+            flags=OpFlags.NOTIFY, cpu=self.service_cpu,
         )
 
     # ------------------------------------------------------------------

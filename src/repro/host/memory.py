@@ -9,17 +9,40 @@ bytes at the right addresses.
 
 Allocations come from a bump allocator; reads and writes may span any range
 inside a single allocation (cross-allocation accesses are a programming
-error and raise).
+error and raise).  :meth:`VirtualMemory.free` drops an allocation without
+rewinding the bump pointer, so an address is never handed out twice and a
+use-after-free faults.
+
+Host memory follows what the simulation writes, not what it allocates:
+allocations of at least :data:`MMAP_MIN_BYTES` are private anonymous
+mappings, whose pages the OS supplies as zeros on first touch, so a mostly
+idle staging ring or page region costs almost nothing, and a freed one is
+unmapped instead of being recycled (and re-zeroed) through the C heap.
 """
 
 from __future__ import annotations
 
 import bisect
+import mmap
 from typing import Iterable
 
 import numpy as np
 
-__all__ = ["VirtualMemory", "MemoryFault"]
+__all__ = ["VirtualMemory", "MemoryFault", "MMAP_MIN_BYTES"]
+
+# Allocations this large get their own lazily zeroed mapping.
+MMAP_MIN_BYTES = 64 * 1024
+# Private, not Python's default shared mapping: a forked child (warm
+# sweeps, checkpoint fork points) must get copy-on-write pages, never
+# write through to its parent's memory.  None where unsupported.
+_MAP_PRIVATE = getattr(mmap, "MAP_PRIVATE", None)
+
+
+def _zeroed(size: int) -> np.ndarray:
+    """A zero-filled uint8 buffer of ``size`` bytes."""
+    if size >= MMAP_MIN_BYTES and _MAP_PRIVATE is not None:
+        return np.frombuffer(mmap.mmap(-1, size, flags=_MAP_PRIVATE), np.uint8)
+    return np.zeros(size, dtype=np.uint8)
 
 
 class MemoryFault(Exception):
@@ -43,11 +66,22 @@ class VirtualMemory:
         if size <= 0:
             raise ValueError(f"allocation size must be positive, got {size}")
         addr = self._next
-        buf = np.zeros(size, dtype=np.uint8)
-        self._regions.append((addr, addr + size, buf))
+        self._regions.append((addr, addr + size, _zeroed(size)))
         self._starts.append(addr)
         self._next = addr + size + self._GUARD
         return addr
+
+    def free(self, addr: int) -> None:
+        """Drop the allocation based at ``addr``.
+
+        The bump pointer never rewinds, so the range is not reused and
+        any later access to it raises :class:`MemoryFault`.
+        """
+        i = bisect.bisect_left(self._starts, addr)
+        if i == len(self._starts) or self._starts[i] != addr:
+            raise MemoryFault(f"free of {addr:#x}: not an allocation base")
+        del self._starts[i]
+        del self._regions[i]
 
     def _region(self, addr: int, size: int) -> tuple[int, int, np.ndarray]:
         """The (start, end, buffer) allocation holding [addr, addr + size)."""
@@ -60,17 +94,12 @@ class VirtualMemory:
             f"access [{addr:#x}, {addr + size:#x}) outside any allocation"
         )
 
-    def _find(self, addr: int, size: int) -> tuple[np.ndarray, int]:
-        start, _, buf = self._region(addr, size)
-        return buf, addr - start
-
     def write(self, addr: int, data: bytes | np.ndarray) -> None:
         """Store ``data`` at virtual address ``addr``."""
         view = np.frombuffer(data, dtype=np.uint8) if isinstance(
             data, (bytes, bytearray, memoryview)
         ) else data
-        buf, off = self._find(addr, len(view))
-        buf[off : off + len(view)] = view
+        self.view(addr, len(view))[:] = view
 
     def write_scatter(
         self, records: Iterable[tuple[int, int, int]], source: bytes
@@ -91,13 +120,12 @@ class VirtualMemory:
 
     def read(self, addr: int, size: int) -> bytes:
         """Load ``size`` bytes from virtual address ``addr``."""
-        buf, off = self._find(addr, size)
-        return buf[off : off + size].tobytes()
+        return self.view(addr, size).tobytes()
 
     def view(self, addr: int, size: int) -> np.ndarray:
         """Zero-copy uint8 view of an allocated range (for applications)."""
-        buf, off = self._find(addr, size)
-        return buf[off : off + size]
+        start, _, buf = self._region(addr, size)
+        return buf[addr - start : addr - start + size]
 
     def ndarray(self, addr: int, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Typed zero-copy view of an allocated range."""
@@ -107,3 +135,8 @@ class VirtualMemory:
     @property
     def allocated_bytes(self) -> int:
         return sum(end - start for start, end, _ in self._regions)
+
+    @property
+    def region_count(self) -> int:
+        """Number of live (allocated, not freed) regions."""
+        return len(self._regions)

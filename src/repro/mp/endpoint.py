@@ -172,14 +172,9 @@ class MpEndpoint:
             if isinstance(got, PeerCrashed):
                 raise got
         slot = ps.send_seq % RING_SLOTS
-        memory = self.stack.node.memory
-        blob = envelope + payload
-        scratch = memory.alloc(len(blob))
-        memory.write(scratch, blob)
-        yield from ps.conn.rdma_write(
-            scratch,
+        yield from ps.conn.write_bytes(
+            envelope + payload,
             ps.peer_ring_base + slot * SLOT_BYTES,
-            len(blob),
             flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
         )
         ps.send_seq += 1
@@ -264,7 +259,9 @@ class MpEndpoint:
         got = yield fin
         if isinstance(got, PeerCrashed):
             raise got
-        return MpMessage(source=src, tag=tag, data=memory.read(dest, size))
+        data = memory.read(dest, size)
+        memory.free(dest)
+        return MpMessage(source=src, tag=tag, data=data)
 
     # -- listener ---------------------------------------------------------------
 
@@ -335,24 +332,17 @@ class MpEndpoint:
     def _push_rendezvous(
         self, ps: _PeerState, dest_addr: int, pending: _PendingRendezvous
     ) -> Generator:
-        memory = self.stack.node.memory
-        scratch = memory.alloc(len(pending.data))
-        memory.write(scratch, pending.data)
-        cpu = self.stack.node.protocol_cpu
-        h = yield from ps.conn.rdma_write(
-            scratch, dest_addr, len(pending.data),
-            flags=OpFlags.NOTIFY, cpu=cpu,
+        h = yield from ps.conn.write_bytes(
+            pending.data, dest_addr, flags=OpFlags.NOTIFY,
+            cpu=self.stack.node.protocol_cpu,
         )
         yield from h.wait()
         pending.done.trigger()
 
     def _send_credit(self, ps: _PeerState) -> Generator:
-        memory = self.stack.node.memory
-        scratch = memory.alloc(8)
-        memory.write(scratch, ps.recv_seq.to_bytes(8, "big"))
-        yield from ps.conn.rdma_write(
-            scratch, ps.peer_credit_cell, 8, flags=OpFlags.NOTIFY,
-            cpu=self.stack.node.protocol_cpu,
+        yield from ps.conn.write_bytes(
+            ps.recv_seq.to_bytes(8, "big"), ps.peer_credit_cell,
+            flags=OpFlags.NOTIFY, cpu=self.stack.node.protocol_cpu,
         )
 
     def _deliver(self, msg: MpMessage) -> None:

@@ -149,7 +149,9 @@ class ConnectionMonitor:
 
     def _applied_plus_buffered(self) -> int:
         ordering = self.conn.ordering
-        applied = sum(op.bytes_applied for op in ordering.ops.values())
+        applied = ordering.retired_bytes + sum(
+            op.bytes_applied for op in ordering.ops.values()
+        )
         buffered = 0
         buf = getattr(ordering, "_buffer", None)
         if buf is not None:  # InOrderDelivery

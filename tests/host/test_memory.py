@@ -1,11 +1,15 @@
 """Unit tests for the virtual memory model."""
 
+import mmap
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.host import MemoryFault, VirtualMemory
+from repro.host.memory import MMAP_MIN_BYTES
 
 
 def test_alloc_returns_distinct_addresses():
@@ -171,3 +175,126 @@ def test_write_scatter_equals_writes_one_by_one(records):
         looped.write(addr, data)
     for base in bases:
         assert batched.read(base, 240) == looped.read(base, 240)
+
+
+# -- backing, free ------------------------------------------------------
+
+SMALL, LARGE = 4096, MMAP_MIN_BYTES + 4096
+
+
+def _mmap_backed(vm, addr):
+    base = vm.view(addr, 1)
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return isinstance(getattr(base, "obj", None), mmap.mmap)
+
+
+@pytest.mark.skipif(not hasattr(mmap, "MAP_PRIVATE"), reason="no MAP_PRIVATE")
+def test_backing_follows_size():
+    vm = VirtualMemory()
+    assert not _mmap_backed(vm, vm.alloc(MMAP_MIN_BYTES - 1))
+    assert _mmap_backed(vm, vm.alloc(MMAP_MIN_BYTES))
+
+
+def test_untouched_large_region_reads_zero():
+    vm = VirtualMemory()
+    addr = vm.alloc(LARGE)
+    assert vm.read(addr, LARGE) == bytes(LARGE)
+    assert not vm.view(addr, LARGE).any()
+
+
+@pytest.mark.parametrize("size", [SMALL, LARGE])
+def test_accessors_agree_on_both_backings(size):
+    vm = VirtualMemory()
+    addr = vm.alloc(size)
+    vm.write(addr + size - 3, b"end")
+    vm.write(addr + 8, np.arange(8, dtype=np.uint8))
+    assert vm.read(addr + size - 3, 3) == b"end"
+    assert vm.view(addr + 8, 8).tolist() == list(range(8))
+    vm.view(addr, 1)[0] = 0xAB
+    assert vm.read(addr, 1) == b"\xab"
+    arr = vm.ndarray(addr + 16, (4,), np.float64)
+    arr[:] = [1.5, 2.5, 3.5, 4.5]
+    assert vm.ndarray(addr + 16, (4,), np.float64).tolist() == [1.5, 2.5, 3.5, 4.5]
+    _scatter(vm, [(addr + 100, b"xy"), (addr + size - 1, b"z")])
+    assert vm.read(addr + 100, 2) == b"xy"
+    assert vm.read(addr + size - 1, 1) == b"z"
+    with pytest.raises(MemoryFault):
+        vm.read(addr + size - 1, 2)
+
+
+@pytest.mark.parametrize("size", [SMALL, LARGE])
+def test_use_after_free_faults(size):
+    vm = VirtualMemory()
+    before = vm.alloc(16)
+    addr = vm.alloc(size)
+    after = vm.alloc(16)
+    vm.free(addr)
+    for access in (
+        lambda: vm.read(addr, 1),
+        lambda: vm.write(addr + size - 1, b"x"),
+        lambda: vm.view(addr, size),
+        lambda: _scatter(vm, [(addr, b"x")]),
+    ):
+        with pytest.raises(MemoryFault):
+            access()
+    with pytest.raises(MemoryFault):
+        vm.free(addr)  # double free
+    # Neighbours are untouched.
+    vm.write(before, b"b")
+    vm.write(after, b"a")
+    assert vm.read(before, 1) == b"b" and vm.read(after, 1) == b"a"
+
+
+def test_free_of_non_base_address_faults():
+    vm = VirtualMemory()
+    addr = vm.alloc(100)
+    for bad in (addr + 1, addr - 1, addr + 100, 0):
+        with pytest.raises(MemoryFault):
+            vm.free(bad)
+    assert vm.region_count == 1
+
+
+def test_free_shrinks_accounting():
+    vm = VirtualMemory()
+    a = vm.alloc(100)
+    vm.alloc(LARGE)
+    assert (vm.allocated_bytes, vm.region_count) == (100 + LARGE, 2)
+    vm.free(a)
+    assert (vm.allocated_bytes, vm.region_count) == (LARGE, 1)
+
+
+@given(st.lists(st.tuples(st.integers(1, 2 * MMAP_MIN_BYTES), st.booleans()), max_size=25))
+def test_free_never_changes_later_addresses(steps):
+    """Any interleaving of alloc and free hands out exactly the addresses
+    of the alloc-only sequence: freed ranges are never reused."""
+    plain, freeing = VirtualMemory(), VirtualMemory()
+    for size, free_now in steps:
+        addr = freeing.alloc(size)
+        assert addr == plain.alloc(size)
+        freeing.write(addr + size - 1, b"\x01")
+        if free_now:
+            freeing.free(addr)
+            with pytest.raises(MemoryFault):
+                freeing.read(addr, 1)
+        else:
+            assert freeing.read(addr + size - 1, 1) == b"\x01"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("size", [SMALL, LARGE])
+def test_forked_child_writes_stay_private(size):
+    """A forked child (warm sweeps, checkpoint fork points) gets
+    copy-on-write memory: its writes never reach the parent."""
+    vm = VirtualMemory()
+    addr = vm.alloc(size)
+    vm.write(addr, b"parent")
+    pid = os.fork()
+    if pid == 0:  # child
+        vm.write(addr, b"child!")
+        vm.write(addr + size - 1, b"c")
+        os._exit(0 if vm.read(addr, 6) == b"child!" else 1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert vm.read(addr, 6) == b"parent"
+    assert vm.read(addr + size - 1, 1) == b"\x00"
