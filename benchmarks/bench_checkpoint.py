@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.parallel import warm_micro_sweep
+from repro.bench.report import merge_bench_json
 from repro.checkpoint import restore, take_checkpoint
 from repro.checkpoint.fork import HAVE_FORK
 from repro.checkpoint.shrink import shrink_scenario_checkpointed
@@ -54,18 +55,6 @@ MIN_WARM_SPEEDUP = 1.05
 MIN_SHRINK_SPEEDUP = 1.5
 
 WARM_SIZES = (1024, 4096, 16384, 65536, 262144, 1048576)
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _prefix_heavy_failing_scenario():
@@ -134,7 +123,7 @@ def test_snapshot_restore_cost_smoke():
             "verified_restore_ms": round(restore_ms, 2),
         }
     }
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
 
 
@@ -169,7 +158,7 @@ def test_warm_sweep_smoke():
             "bit_identical": True,
         }
     }
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
     assert speedup >= MIN_WARM_SPEEDUP, (
         f"warm sweep {warm_s:.3f}s vs cold {cold_s:.3f}s "
@@ -206,7 +195,7 @@ def test_shrinker_savings_smoke():
             "speedup": round(speedup, 2),
         }
     }
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
     assert speedup >= MIN_SHRINK_SPEEDUP, (
         f"checkpointed shrink {fast_s:.3f}s vs cold {cold_s:.3f}s "

@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.crash import run_crash
+from repro.bench.report import merge_bench_json
 from repro.verify.fuzz import run_crash_scenario, run_incarnation_scenario
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -40,18 +41,6 @@ MS = 1_000_000
 
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_RECOVERED_FRACTION = 0.95
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(config: str, restart_delay_ns: int = 5 * MS, **kw) -> dict:
@@ -85,7 +74,7 @@ def test_crash_smoke():
     """Acceptance floors on the out-of-order two-rail configuration."""
     point = _point("2Lu-1G")
     report = {"crash_2Lu_1G": point}
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
     assert point["reconnect_latency_ns"] <= point["reconnect_bound_ns"], (
         f"reconnect took {point['reconnect_latency_ns']} ns, "
@@ -130,7 +119,8 @@ def test_crash_fuzz():
     assert redeliveries > 0, "no crash scenario redelivered anything"
     assert dups > 0, "duplicate suppression never triggered"
     assert incarnation_stale > 0, "stale-incarnation rejection never triggered"
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "crash_fuzz": {
                 "crash_scenarios": 150,
@@ -161,5 +151,5 @@ def test_crash_full():
     assert slow_boot["reconnect_latency_ns"] <= slow_boot["reconnect_bound_ns"]
     assert slow_boot["recovered_fraction"] >= MIN_RECOVERED_FRACTION
 
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))

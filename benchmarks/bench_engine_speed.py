@@ -42,6 +42,7 @@ import pytest
 
 from repro.bench.cluster import make_cluster
 from repro.bench.micro import run_micro
+from repro.bench.report import merge_bench_json
 from repro.sim.core import Simulator
 from repro.sim.reference import SeedSimulator
 
@@ -226,19 +227,6 @@ def _time_seed_tree_point(config: str, benchmark: str, size: int) -> dict | None
         )
 
 
-def _merge_bench_json(update: dict) -> dict:
-    """Merge ``update`` into BENCH_engine.json (smoke and full both write)."""
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
-
-
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -258,7 +246,7 @@ def test_engine_speed_smoke():
             point["wall_s"] / point_ff["wall_s"], 3
         ) if point_ff["wall_s"] > 0 else None,
     }
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
     assert (
         engines["new_engine"]["events_per_sec"] >= SMOKE_MIN_EVENTS_PER_SEC
@@ -298,7 +286,7 @@ def test_engine_speed_full():
             "seed_tree": round(seed["events"] / seed["wall_s"]),
             "current": round(seed["events"] / current["wall_s"]),
         }
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
 
     if seed is None:

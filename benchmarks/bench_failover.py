@@ -30,6 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.failover import run_failover
+from repro.bench.report import merge_bench_json
 from repro.control import DetectorParams
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -40,18 +41,6 @@ MS = 1_000_000
 # Acceptance floors (ISSUE acceptance criteria).
 MIN_DEGRADED_FRACTION = 0.45
 DETECTOR = DetectorParams()
-
-
-def _merge_bench_json(update: dict) -> dict:
-    data = {}
-    if BENCH_JSON.exists():
-        try:
-            data = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data.update(update)
-    BENCH_JSON.write_text(json.dumps(data, indent=2) + "\n")
-    return data
 
 
 def _point(config: str, striping=None, repair: bool = True) -> dict:
@@ -83,7 +72,7 @@ def test_failover_smoke():
     """Acceptance floors on the out-of-order two-rail configuration."""
     point = _point("2Lu-1G")
     report = {"failover_2Lu_1G": point}
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))
     assert point["detect_latency_ns"] <= point["detect_bound_ns"], (
         f"detection took {point['detect_latency_ns']} ns, "
@@ -126,5 +115,5 @@ def test_failover_full():
     assert healthy.probe_overhead < 0.10, (
         f"heartbeats are {healthy.probe_overhead:.1%} of wire frames"
     )
-    _merge_bench_json(report)
+    merge_bench_json(BENCH_JSON, report)
     print(json.dumps(report, indent=2))

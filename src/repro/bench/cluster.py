@@ -470,6 +470,17 @@ class Cluster:
             )
         return self.gray_scorer
 
+    def stop_control_planes(self) -> None:
+        """Stop every edge lifecycle manager and the gray scorer.
+
+        Heartbeat probes and gray scoring recur forever; a run stops them
+        once its traffic is done so the final drain converges.
+        """
+        for mgr in list(self.control_planes.values()):
+            mgr.stop()
+        if self.gray_scorer is not None:
+            self.gray_scorer.stop()
+
     def set_ecn_threshold(self, frames: Optional[int]) -> None:
         """Enable (or disable with None) ECN marking on every switch.
 

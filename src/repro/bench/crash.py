@@ -168,8 +168,7 @@ class CrashRun:
     def finish(self) -> CrashResult:
         cluster = self.cluster
         cluster.sim.run_until_done(self.proc, limit=self.run_ns + 500 * _MS)
-        for mgr in list(cluster.control_planes.values()):
-            mgr.stop()
+        cluster.stop_control_planes()
         cluster.sim.run()  # drain acks, retransmits, replay tails
         return self._report()
 

@@ -101,7 +101,7 @@ def run_failover(
             cluster.config.protocol, striping=striping
         )
     a, b = cluster.connect(0, 1)
-    mgr_a, _mgr_b = cluster.enable_edge_control(
+    mgr_a, _ = cluster.enable_edge_control(
         0, 1, detector_params=detector_params
     )
 
@@ -160,8 +160,7 @@ def run_failover(
     if recovered_ns is not None:
         recovered = goodput(recovered_ns, run_ns)
 
-    mgr_a.stop()
-    _mgr_b.stop()
+    cluster.stop_control_planes()
     probe_frames = a.stats.probes_sent + b.stats.probes_sent
     wire_frames = sum(
         nic.counters.tx_frames for node in cluster.nodes for nic in node.nics

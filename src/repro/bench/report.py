@@ -7,9 +7,11 @@ output is terminal text, suitable for ``pytest -s`` and CI logs.
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any, Iterable, Optional, Sequence
 
-__all__ = ["Table", "fmt", "check_band", "band_str"]
+__all__ = ["Table", "fmt", "check_band", "band_str", "merge_bench_json"]
 
 
 def fmt(value: Any, digits: int = 2) -> str:
@@ -70,3 +72,22 @@ def check_band(
     lo, hi = band
     span = hi - lo
     return lo - slack * span <= value <= hi + slack * span
+
+
+def merge_bench_json(path, update: dict) -> dict:
+    """Merge ``update`` into the JSON object stored at ``path``.
+
+    A missing or unparsable file starts empty; keys in ``update`` replace
+    existing ones.  The file is rewritten with two-space indentation and a
+    trailing newline.  Returns the merged object.
+    """
+    path = Path(path)
+    data = {}
+    if path.exists():
+        try:
+            data = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            data = {}
+    data.update(update)
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    return data

@@ -252,11 +252,7 @@ class ServeRun:
     def finish(self) -> ServeResult:
         cluster = self.cluster
         cluster.sim.run_until_time(self.duration_ns)
-        # Heartbeat probes recur forever; stop them so the drain converges.
-        for mgr in list(cluster.control_planes.values()):
-            mgr.stop()
-        if cluster.gray_scorer is not None:
-            cluster.gray_scorer.stop()
+        cluster.stop_control_planes()
         # The drain must stay bounded: a peer that crashed close enough to
         # the end of the run that the detector never escalated PEER_DOWN
         # leaves survivor-side connections retransmitting into the void

@@ -25,6 +25,7 @@ Matching follows MPI semantics: ``(source, tag)`` with wildcards, FIFO per
 from __future__ import annotations
 
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -80,6 +81,9 @@ class _PeerState:
     recv_seq: int = 0
     processed: int = 0
     credit_event: Optional[Event] = None
+    # Ring-slot writes toward this peer run one at a time: None while no
+    # write is in progress, else the FIFO of writers waiting their turn.
+    slot_waiters: Optional[deque] = None
 
 
 @dataclass
@@ -165,19 +169,39 @@ class MpEndpoint:
     def _slot_write(
         self, ps: _PeerState, envelope: bytes, payload: bytes = b""
     ) -> Generator[Any, Any, None]:
-        """Write envelope+payload into the peer's next ring slot."""
-        while ps.send_seq - ps.peer_consumed >= RING_SLOTS - 2:
-            ps.credit_event = Event(self.sim)
-            got = yield ps.credit_event
+        """Write envelope+payload into the peer's next ring slot.
+
+        The slot index is read before the write yields and advanced
+        after it, so concurrent senders to one peer (a process's own
+        sends, and the rendezvous clear-to-send its receives answer)
+        take turns in FIFO order.  A free turn is taken without yielding.
+        """
+        if ps.slot_waiters is None:
+            ps.slot_waiters = deque()
+        else:
+            turn = Event(self.sim)
+            ps.slot_waiters.append(turn)
+            got = yield turn
             if isinstance(got, PeerCrashed):
                 raise got
-        slot = ps.send_seq % RING_SLOTS
-        yield from ps.conn.write_bytes(
-            envelope + payload,
-            ps.peer_ring_base + slot * SLOT_BYTES,
-            flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
-        )
-        ps.send_seq += 1
+        try:
+            while ps.send_seq - ps.peer_consumed >= RING_SLOTS - 2:
+                ps.credit_event = Event(self.sim)
+                got = yield ps.credit_event
+                if isinstance(got, PeerCrashed):
+                    raise got
+            slot = ps.send_seq % RING_SLOTS
+            yield from ps.conn.write_bytes(
+                envelope + payload,
+                ps.peer_ring_base + slot * SLOT_BYTES,
+                flags=OpFlags.NOTIFY | OpFlags.FENCE_BACKWARD,
+            )
+            ps.send_seq += 1
+        finally:
+            if ps.slot_waiters:
+                ps.slot_waiters.popleft().trigger()  # hand the turn over
+            else:
+                ps.slot_waiters = None
 
     def _send_eager(
         self, ps: _PeerState, dest: int, data: bytes, tag: int
@@ -362,7 +386,7 @@ class MpEndpoint:
 
         Called by the recovery layer when ``peer`` crashes.  Receives
         posted with ``source == peer``, rendezvous sends targeting the
-        peer, and credit waits on its inbox all raise a typed
+        peer, and credit and slot-turn waits on its inbox all raise a typed
         :class:`~repro.core.PeerCrashed` instead of hanging forever.
         ``ANY_SOURCE`` receives are left alone — a surviving rank may
         still satisfy them.
@@ -373,6 +397,8 @@ class MpEndpoint:
             ev, ps.credit_event = ps.credit_event, None
             if not ev.triggered:
                 ev.trigger(exc)
+        while ps is not None and ps.slot_waiters:
+            ps.slot_waiters.popleft().trigger(exc)
         for waiter in [w for w in self._waiting if w.source == peer]:
             self._waiting.remove(waiter)
             waiter.event.trigger(exc)

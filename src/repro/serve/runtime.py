@@ -9,10 +9,10 @@ cluster + :class:`~repro.mp.MpWorld`:
 * one bounded-queue :class:`~repro.serve.server.ServerLoop` per server
   rank;
 * per-(src, dst) **outboxes** — exactly one sender process per directed
-  pair, because concurrent mp sends to the same peer would race on the
-  eager ring slots.  The process count is fixed at wiring time and
-  independent of request volume: open-loop load at any rate runs on
-  O(clients x servers) processes.
+  pair, so sends toward one peer leave in the order they were queued.
+  The process count is fixed at wiring time and independent of request
+  volume: open-loop load at any rate runs on O(clients x servers)
+  processes.
 
 The runtime is also the measurement plane: per-server mergeable
 latency histograms, phase decomposition (queueing / service / network),
@@ -21,12 +21,17 @@ counters the invariant monitor checks:
 
     generated == completed + shed + shed_client + failed + pending
 
-Crash interplay (with :mod:`repro.recovery`): when a server crashes,
-its queued requests vanish with its memory; the client-side journal
-(the ``outstanding`` table) replays every unanswered request to a
-surviving server — or parks it until the crashed one reconnects — with
-latency still measured from the *original* arrival, so the outage shows
-up in the tail exactly as a user would feel it.
+Every request goes through one attempt-tracking path, with or without
+tail tolerance: each attempt (primary, hedge, retry or crash replay) is
+one entry in ``Request.pending_servers`` and one balancer count, until
+its server answers or dies.  Crash interplay (with
+:mod:`repro.recovery`): when a server crashes, its queued requests
+vanish with its memory; every attempt pending there is abandoned, and a
+request with no surviving attempt is replayed exactly once from the
+client-side journal (the ``outstanding`` table) to a surviving server —
+or parked until the crashed one reconnects — with latency still
+measured from the *original* arrival, so the outage shows up in the
+tail exactly as a user would feel it.
 """
 
 from __future__ import annotations
@@ -70,8 +75,9 @@ class ServeConfig:
     window_ns: int = 0  # 0 = no windowed attainment tracking
     outbox_cap: int = 0  # 0 = unbounded client outboxes
     slo: Optional[SloSpec] = None
-    # Tail-tolerant client machinery (repro.serve.tail); None keeps the
-    # classic dispatch-once path byte-identical.
+    # Tail-tolerant client machinery (repro.serve.tail): hedging, retry
+    # budget, breakers, ejection.  None arms none of them; requests still
+    # take the same attempt-tracking path.
     tail: Optional[TailSpec] = None
 
     def __post_init__(self) -> None:
@@ -84,7 +90,12 @@ class ServeConfig:
 
 
 class _Outbox:
-    """Serialized sender for one directed (src -> dst) mp pair."""
+    """Serialized sender for one directed (src -> dst) mp pair.
+
+    One drain process per pair sends queued entries in FIFO order, so a
+    request never overtakes one queued before it, and a crash can purge
+    the requests that never left the client.
+    """
 
     def __init__(self, runtime: "ServeRuntime", src: int, dst: int) -> None:
         self.runtime = runtime
@@ -121,7 +132,6 @@ class _Outbox:
                 continue
             payload, tag, req = self.entries.popleft()
             if req is not None:
-                req.t_dispatch = self.sim.now
                 req.dispatch_ns[self.dst] = self.sim.now
             try:
                 yield from self.ep.send(self.dst, payload, tag=tag)
@@ -283,7 +293,6 @@ class ServeRuntime:
     def _send_attempt(self, req: Request, server: int,
                       outbox: Optional[_Outbox] = None) -> None:
         """Put one attempt for ``req`` on the wire toward ``server``."""
-        req.server = server
         req.attempts += 1
         req.pending_servers.add(server)
         # Placeholder keeps dispatch order (first key = primary attempt);
@@ -362,13 +371,6 @@ class ServeRuntime:
             req_id, server, flags, t_rx, t_start, t_end = unpack_response(
                 msg.data
             )
-            if self.tail is None:
-                # Classic single-attempt path, byte-identical to the
-                # pre-tail runtime (pinned fuzz fingerprints depend on it).
-                self._legacy_on_response(
-                    req_id, server, flags, t_rx, t_start, t_end
-                )
-                continue
             now = self.sim.now
             req = self.outstanding.get(req_id)
             if req is None:
@@ -381,39 +383,6 @@ class ServeRuntime:
                 self._on_shed_response(req, server, now)
                 continue
             self._complete(req, server, flags, t_rx, t_start, t_end, now)
-
-    def _legacy_on_response(self, req_id: int, server: int, flags: int,
-                            t_rx: int, t_start: int, t_end: int) -> None:
-        req = self.outstanding.pop(req_id, None)
-        if req is None:
-            # A crash replay raced a response that was already on the
-            # wire; the request was answered once already.
-            self.duplicate_responses += 1
-            return
-        self.balancer.note_done(req.server)
-        req.pending_servers.clear()
-        now = self.sim.now
-        win = self._window(now)
-        if flags & FLAG_SHED:
-            self.shed += 1
-            win["shed"] += 1
-            return
-        total = now - req.t_arrival
-        queueing = (req.t_dispatch - req.t_arrival) + (t_start - t_rx)
-        service = t_end - t_start
-        network = max(0, total - queueing - service)
-        self.completed += 1
-        self.hist_by_server[server].record(total)
-        self.hist_queueing.record(queueing)
-        self.hist_service.record(service)
-        self.hist_network.record(network)
-        win["completed"] += 1
-        win["hist"].record(total)
-        if req.deadline_ns and total > req.deadline_ns:
-            self.deadline_missed += 1
-        # A parked request may now have an eligible server again.
-        if self.holding and self.balancer.alive:
-            self._drain_holding()
 
     def _complete(self, req: Request, server: int, flags: int, t_rx: int,
                   t_start: int, t_end: int, now: int) -> None:
@@ -429,8 +398,7 @@ class ServeRuntime:
             req.pending_servers.clear()
         win = self._window(now)
         total = now - req.t_arrival
-        dispatch = req.dispatch_ns.get(server, req.t_dispatch)
-        queueing = (dispatch - req.t_arrival) + (t_start - t_rx)
+        queueing = (req.dispatch_ns[server] - req.t_arrival) + (t_start - t_rx)
         service = t_end - t_start
         network = max(0, total - queueing - service)
         self.completed += 1
@@ -505,23 +473,6 @@ class ServeRuntime:
         self.servers[node_id].on_crash()
         for client in self.config.clients:
             self.reachable[client].discard(node_id)
-        if self.tail is None:
-            # Classic collect-then-replay (kept byte-identical for pinned
-            # fingerprints): a request both queued in an outbox toward the
-            # dead server and journaled appears in the list twice and is
-            # re-dispatched twice, exactly as before the tail machinery.
-            to_replay: list[Request] = []
-            for (src, dst), outbox in self.outboxes.items():
-                if dst == node_id:
-                    to_replay.extend(outbox.purge_requests())
-                if src == node_id:
-                    outbox.entries.clear()  # dead server's unsent responses
-            for req in list(self.outstanding.values()):
-                if req.server == node_id:
-                    to_replay.append(req)
-            for req in to_replay:
-                self._legacy_replay(req)
-            return
         # Requests parked in outboxes toward the dead server never left
         # the client; abandon those attempts with everything in flight.
         for (src, dst), outbox in self.outboxes.items():
@@ -533,7 +484,8 @@ class ServeRuntime:
         for req in list(self.outstanding.values()):
             if node_id in req.pending_servers:
                 self._abandon_attempt(req, node_id)
-        # Losing hedge attempts at the dead server will never answer.
+        # Attempts still absorbing at the dead server (hedge losers, or
+        # attempts a stale pre-crash response outran) will never answer.
         for req_id, losers in list(self._absorbing.items()):
             if node_id in losers:
                 losers.discard(node_id)
@@ -548,22 +500,9 @@ class ServeRuntime:
         failed sender process resumes; only act here if the request is
         still journaled *and* still has an attempt toward the dead leg.
         """
-        if self.tail is None:
-            if (self.outstanding.get(req.req_id) is req
-                    and req.server == failed_dst):
-                self._legacy_replay(req)
-            return
         if (self.outstanding.get(req.req_id) is req
                 and failed_dst in req.pending_servers):
             self._abandon_attempt(req, failed_dst)
-
-    def _legacy_replay(self, req: Request) -> None:
-        self.outstanding.pop(req.req_id, None)
-        self.balancer.note_done(req.server)
-        req.pending_servers.clear()
-        req.server = -1
-        self.replayed += 1
-        self._dispatch(req)
 
     def _abandon_attempt(self, req: Request, server: int) -> None:
         """One attempt died with its server; replay when none survive."""
@@ -575,7 +514,6 @@ class ServeRuntime:
         if self.outstanding.get(req.req_id) is not req:
             return  # already answered or already failed
         self.outstanding.pop(req.req_id)
-        req.server = -1
         self.replayed += 1
         self._dispatch(req)
 
@@ -678,23 +616,15 @@ class ServeRuntime:
         answered become typed failures instead of dangling pending.
         """
         failed = 0
-        if self.tail is None:
-            for req in list(self.outstanding.values()):
-                if req.server not in self.balancer.alive:
-                    self.outstanding.pop(req.req_id, None)
-                    self.balancer.note_done(req.server)
-                    req.pending_servers.clear()
-                    failed += 1
-        else:
-            for req in list(self.outstanding.values()):
-                dead = [s for s in req.pending_servers
-                        if s not in self.balancer.alive]
-                for s in dead:
-                    req.pending_servers.discard(s)
-                    self.balancer.note_done(s)
-                if not req.pending_servers:
-                    self.outstanding.pop(req.req_id, None)
-                    failed += 1
+        for req in list(self.outstanding.values()):
+            dead = [s for s in req.pending_servers
+                    if s not in self.balancer.alive]
+            for s in dead:
+                req.pending_servers.discard(s)
+                self.balancer.note_done(s)
+            if not req.pending_servers:
+                self.outstanding.pop(req.req_id, None)
+                failed += 1
         still_holding = deque()
         for req in self.holding:
             if self.balancer.choose(req, self.reachable[req.client]) is None:
@@ -744,26 +674,16 @@ class ServeRuntime:
                     f"{hist.total} samples for {self.completed} completions"
                 )
         tracked = sum(self.balancer.outstanding.values())
-        if self.tail is None:
-            # Classic accounting: one attempt per journaled request.
-            if tracked != len(self.outstanding):
-                problems.append(
-                    f"balancer-accounting: balancer tracks {tracked} "
-                    f"outstanding but the journal holds "
-                    f"{len(self.outstanding)}"
-                )
-        else:
-            attempts = sum(
-                len(r.pending_servers) for r in self.outstanding.values()
-            ) + sum(len(s) for s in self._absorbing.values())
-            if tracked != attempts:
-                problems.append(
-                    f"balancer-accounting: balancer tracks {tracked} "
-                    f"outstanding but {attempts} attempts are in flight "
-                    f"({len(self.outstanding)} journaled, "
-                    f"{sum(len(s) for s in self._absorbing.values())} "
-                    "absorbing)"
-                )
+        absorbing = sum(len(s) for s in self._absorbing.values())
+        attempts = absorbing + sum(
+            len(r.pending_servers) for r in self.outstanding.values()
+        )
+        if tracked != attempts:
+            problems.append(
+                f"balancer-accounting: balancer tracks {tracked} "
+                f"outstanding but {attempts} attempts are in flight "
+                f"({len(self.outstanding)} journaled, {absorbing} absorbing)"
+            )
         src_generated = sum(s.generated for s in self.sources.values())
         if src_generated != self.generated:
             problems.append(

@@ -432,11 +432,9 @@ class ScenarioRun:
             handles[(i, j)] = a
             handles[(j, i)] = b
 
-        self.managers = []
         if sc.control_plane:
             for i, j in conn_pairs:
-                m1, m2 = cluster.enable_edge_control(i, j)
-                self.managers += [m1, m2]
+                cluster.enable_edge_control(i, j)
 
         self.monitor = (
             InvariantMonitor.attach(cluster, collect=collect)
@@ -502,7 +500,6 @@ class ScenarioRun:
         return {
             "cluster": self.cluster,
             "procs": self.procs,
-            "managers": self.managers,
             "monitor": self.monitor,
             "faults": self.faults,
         }
@@ -547,8 +544,7 @@ class ScenarioRun:
             try:
                 for proc in self.procs:
                     cluster.sim.run_until_done(proc, limit=self.sc.limit_ns)
-                for mgr in self.managers:
-                    mgr.stop()
+                cluster.stop_control_planes()
                 cluster.sim.run()  # drain retransmits, acks, fault timers
                 for stack in cluster.stacks:
                     for conn in stack.protocol.connections.values():

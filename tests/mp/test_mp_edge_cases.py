@@ -34,6 +34,34 @@ def test_concurrent_rendezvous_both_directions():
     assert w.run(program) == [2, 1]
 
 
+def test_two_processes_sending_to_one_peer():
+    """Concurrent senders on one rank take turns at the ring toward a
+    peer: each message lands in its own slot, FIFO per tag."""
+    w = world()
+    per_sender = 12  # 24 messages: more than one ring's worth of credits
+
+    def program(ep):
+        if ep.rank == 0:
+            def sender(tag):
+                for k in range(per_sender):
+                    yield from ep.send(1, bytes([tag, k]) * 500, tag=tag)
+
+            procs = [ep.sim.process(sender(tag)) for tag in (1, 2)]
+            for proc in procs:
+                yield proc
+            return None
+        got = []
+        for _ in range(2 * per_sender):
+            msg = yield from ep.recv(source=0)
+            assert msg.data == bytes([msg.tag, msg.data[1]]) * 500
+            got.append((msg.tag, msg.data[1]))
+        return got
+
+    got = w.run(program)[1]
+    for tag in (1, 2):
+        assert [k for t, k in got if t == tag] == list(range(per_sender))
+
+
 def test_interleaved_rendezvous_and_eager():
     """Eager messages can be consumed out of order around a rendezvous.
 

@@ -28,11 +28,13 @@ def _max_rx_ops(cluster):
     )
 
 
-def _serve(duration_ms):
+def _serve(duration_ms, max_response=8192):
     run = ServeRun(
         n_clients=2,
         n_servers=2,
-        arrival=ArrivalSpec(rate_rps=20_000, response_bytes=("uniform", 128, 8192)),
+        arrival=ArrivalSpec(
+            rate_rps=20_000, response_bytes=("uniform", 128, max_response)
+        ),
         duration_ns=duration_ms * _MS,
         seed=5,
         use_monitor=True,
@@ -49,6 +51,13 @@ def test_serve_state_does_not_grow_with_requests():
     assert long_done > 1.5 * short_done
     assert short_end == wired and long_end == wired2 == wired
     assert long_ops == short_ops <= 1
+
+
+def test_serve_with_rendezvous_responses():
+    """Responses above the 16 KiB eager limit rendezvous, so a client's
+    clear-to-send shares the ring toward each server with its requests."""
+    wired, end, ops, done = _serve(2, max_response=24_576)
+    assert done > 0 and end == wired and ops <= 1
 
 
 @pytest.mark.parametrize("config", ["1L-1G", "2L-1G"])

@@ -5,8 +5,9 @@ is opt-in: a serving run that passes none of them must execute
 byte-for-byte the same event sequence it did before the subsystem
 existed.  These fingerprints were captured from the repo HEAD
 immediately before the gray-failure PR landed (the RPC serving PR); any
-drift here means the default serving path changed behaviour — including
-its pinned quirks, like the crash-path replay accounting.
+drift here means the default serving path changed behaviour.  The crash
+pin exercises crash replay on the one attempt-tracking path that runs
+with and without a ``TailSpec``.
 """
 
 from repro.bench.serve import run_serve
@@ -33,8 +34,7 @@ PINNED = [
         "e873f2021caadc1023fe60ca18d2667efc1af6f5e7c257e84b5dd0cebc774973",
     ),
     (
-        # The crash+replay path, monitor attached — exercises the legacy
-        # crash bookkeeping that tail-mode deliberately replaced.
+        # A server crash with replay to the survivor, monitor attached.
         dict(
             config="1L-1G", n_clients=2, n_servers=2, policy="round-robin",
             duration_ns=10 * MS, seed=3, crash_server=2, crash_ns=3 * MS,
